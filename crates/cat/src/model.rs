@@ -1,5 +1,7 @@
 //! Resolved (kind-checked) consistency models.
 
+use std::sync::Arc;
+
 pub use crate::ast::AxiomKind;
 
 /// Index of a `let` definition within a [`CatModel`].
@@ -105,16 +107,24 @@ impl Axiom {
 }
 
 /// A fully resolved consistency model.
+///
+/// A model is immutable once resolved, so its parts are shared behind
+/// `Arc`s: cloning one (as every encoding does) copies three pointers,
+/// not the definition trees.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatModel {
-    name: String,
-    defs: Vec<Def>,
-    axioms: Vec<Axiom>,
+    name: Arc<str>,
+    defs: Arc<[Def]>,
+    axioms: Arc<[Axiom]>,
 }
 
 impl CatModel {
     pub(crate) fn new(name: String, defs: Vec<Def>, axioms: Vec<Axiom>) -> CatModel {
-        CatModel { name, defs, axioms }
+        CatModel {
+            name: name.into(),
+            defs: defs.into(),
+            axioms: axioms.into(),
+        }
     }
 
     /// The model title (empty string if the source had none).
@@ -161,13 +171,13 @@ impl CatModel {
     /// Base relation names referenced anywhere in the model.
     pub fn referenced_base_rels(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for d in &self.defs {
+        for d in self.defs.iter() {
             match &d.body {
                 DefBody::Set(s) => collect_set(s, &mut out),
                 DefBody::Rel(r) => collect_rel(r, &mut out),
             }
         }
-        for a in &self.axioms {
+        for a in self.axioms.iter() {
             collect_rel(&a.expr, &mut out);
         }
         out.sort();

@@ -389,7 +389,7 @@ impl Verifier {
             enum_cap: None,
             bounds_memo: None,
             incremental: true,
-            simplify: true,
+            simplify: false,
             cancel: None,
             conflict_budget: None,
             mem_budget_mb: None,
@@ -482,8 +482,10 @@ impl Verifier {
     }
 
     /// Enables or disables SatELite-style CNF simplification of the
-    /// SAT encoding (builder style; on by default). The `--no-simplify`
-    /// escape hatch of the CLI and server map here.
+    /// SAT encoding (builder style; off by default, because on the
+    /// paper's workloads the pass costs more than it saves the solver).
+    /// The CLI's `--simplify` flag and the server's `"simplify": true`
+    /// request field opt in here.
     pub fn with_simplify(mut self, simplify: bool) -> Verifier {
         self.simplify = simplify;
         self

@@ -11,12 +11,12 @@
 //! check of one litmus test) can share a single computation through
 //! [`crate::BoundsMemo`] instead of redoing the Table 3 analysis.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpumc_cat::{CatModel, DefBody, RelExpr, SetExpr};
 use gpumc_exec::{EventSet, Relation};
 use gpumc_ir::{Arch, EventGraph, EventId, EventKind, Scope, Tag};
+use gpumc_sat::FxHashMap;
 
 /// The owned result of the relation analysis: static bounds for the base
 /// sets and all relations of a model, detached from the graph borrow so
@@ -25,9 +25,9 @@ use gpumc_ir::{Arch, EventGraph, EventId, EventKind, Scope, Tag};
 pub struct StaticBounds {
     /// When false, alias-based pruning was disabled (ablation mode).
     precise: bool,
-    sets: HashMap<String, EventSet>,
-    upper: HashMap<String, Relation>,
-    lower: HashMap<String, Relation>,
+    sets: FxHashMap<String, EventSet>,
+    upper: FxHashMap<String, Relation>,
+    lower: FxHashMap<String, Relation>,
     /// Bounds for each model definition (indexed by DefId).
     def_upper: Vec<Option<Relation>>,
     def_lower: Vec<Option<Relation>>,
@@ -49,9 +49,9 @@ impl StaticBounds {
             graph,
             b: StaticBounds {
                 precise,
-                sets: HashMap::new(),
-                upper: HashMap::new(),
-                lower: HashMap::new(),
+                sets: FxHashMap::default(),
+                upper: FxHashMap::default(),
+                lower: FxHashMap::default(),
                 def_upper: Vec::new(),
                 def_lower: Vec::new(),
                 def_sets: Vec::new(),

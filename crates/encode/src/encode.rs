@@ -1,6 +1,5 @@
 //! The CNF encoding of program semantics modulo a `.cat` model.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use gpumc_cat::{AxiomKind, CatModel, DefBody, RelExpr, SetExpr};
@@ -9,7 +8,7 @@ use gpumc_ir::{
     Arch, BlockId, CondAtom, Condition, EventGraph, EventId, EventKind, Tag, UTerm, Val,
 };
 use gpumc_sat::bv::BitVec;
-use gpumc_sat::{Formula, Lit};
+use gpumc_sat::{Formula, FxHashMap, Lit};
 
 use crate::bounds::RelationAnalysis;
 
@@ -24,7 +23,9 @@ pub struct EncodeOptions {
     /// Run SatELite-style CNF simplification (variable elimination,
     /// subsumption, equivalent-literal substitution) after building the
     /// encoding. Witness and query variables are frozen first, so
-    /// verdicts and decoded witnesses are unaffected.
+    /// verdicts and decoded witnesses are unaffected. Off by default: on
+    /// the paper's workloads the pass costs more time than it saves the
+    /// solver (DESIGN.md §12).
     pub simplify: bool,
     /// Print per-stage size diagnostics to stderr.
     pub trace: bool,
@@ -48,7 +49,7 @@ impl Default for EncodeOptions {
         EncodeOptions {
             bv_width: 8,
             use_bounds: true,
-            simplify: true,
+            simplify: false,
             trace: false,
             cancel: None,
             mem_budget_bytes: None,
@@ -95,7 +96,7 @@ pub struct QueryResult<'g> {
 /// A relation encoded as literals per (may-)pair.
 #[derive(Debug, Clone, Default)]
 struct EncRel {
-    pairs: HashMap<(u32, u32), Lit>,
+    pairs: FxHashMap<(u32, u32), Lit>,
 }
 
 impl EncRel {
@@ -107,7 +108,7 @@ impl EncRel {
 /// A set encoded as literals per (may-)member.
 #[derive(Debug, Clone, Default)]
 struct EncSet {
-    members: HashMap<u32, Lit>,
+    members: FxHashMap<u32, Lit>,
 }
 
 /// Like [`encode`] but prints per-stage variable counts to stderr
@@ -186,14 +187,14 @@ fn build<'g>(
         rf: EncRel::default(),
         co: EncRel::default(),
         sync_fence: EncRel::default(),
-        base_cache: HashMap::new(),
-        pair_exec_cache: HashMap::new(),
-        addr_eq_cache: HashMap::new(),
+        base_cache: FxHashMap::default(),
+        pair_exec_cache: FxHashMap::default(),
+        addr_eq_cache: FxHashMap::default(),
         def_rels: Vec::new(),
         def_sets: Vec::new(),
-        final_reg_cache: HashMap::new(),
+        final_reg_cache: FxHashMap::default(),
         completed: Vec::new(),
-        flag_rels: HashMap::new(),
+        flag_rels: FxHashMap::default(),
         positions: Vec::new(),
         simplify_stats: None,
         bounds_us: 0,
@@ -236,16 +237,17 @@ pub struct Encoding<'g> {
     rf: EncRel,
     co: EncRel,
     sync_fence: EncRel,
-    base_cache: HashMap<(String, u32, u32), Lit>,
-    pair_exec_cache: HashMap<(u32, u32), Lit>,
-    addr_eq_cache: HashMap<(u32, u32), Lit>,
+    /// Base-relation literals, keyed by relation name, then pair.
+    base_cache: FxHashMap<String, FxHashMap<(u32, u32), Lit>>,
+    pair_exec_cache: FxHashMap<(u32, u32), Lit>,
+    addr_eq_cache: FxHashMap<(u32, u32), Lit>,
     def_rels: Vec<Option<EncRel>>,
     def_sets: Vec<Option<EncSet>>,
-    final_reg_cache: HashMap<(usize, u32), BitVec>,
+    final_reg_cache: FxHashMap<(usize, u32), BitVec>,
     /// Per-thread "reached an End leaf" literal.
     completed: Vec<Lit>,
     /// Flagged-axiom label → encoded relation.
-    flag_rels: HashMap<String, EncRel>,
+    flag_rels: FxHashMap<String, EncRel>,
     /// Lazily created acyclicity position vectors.
     positions: Vec<Option<BitVec>>,
     /// Statistics from CNF simplification, when it ran.
@@ -573,7 +575,7 @@ impl<'g> Encoding<'g> {
             .base_upper("rf")
             .cloned()
             .unwrap_or_else(|| Relation::empty(self.graph.n_events()));
-        let mut per_read: HashMap<u32, Vec<EventId>> = HashMap::new();
+        let mut per_read: FxHashMap<u32, Vec<EventId>> = FxHashMap::default();
         for (w, r) in upper.iter() {
             per_read.entry(r.0).or_default().push(w);
         }
@@ -715,7 +717,7 @@ impl<'g> Encoding<'g> {
 
     /// Literal of a base relation at a pair (false when impossible).
     fn base_lit(&mut self, name: &str, a: EventId, b: EventId) -> Lit {
-        if let Some(&l) = self.base_cache.get(&(name.to_string(), a.0, b.0)) {
+        if let Some(&l) = self.base_cache.get(name).and_then(|m| m.get(&(a.0, b.0))) {
             return l;
         }
         let fls = self.f.lit_false();
@@ -746,7 +748,15 @@ impl<'g> Encoding<'g> {
                 _ => self.pair_exec(a, b),
             }
         };
-        self.base_cache.insert((name.to_string(), a.0, b.0), lit);
+        match self.base_cache.get_mut(name) {
+            Some(m) => {
+                m.insert((a.0, b.0), lit);
+            }
+            None => {
+                let m = FxHashMap::from_iter([((a.0, b.0), lit)]);
+                self.base_cache.insert(name.to_string(), m);
+            }
+        }
         lit
     }
 
@@ -755,6 +765,7 @@ impl<'g> Encoding<'g> {
     // ------------------------------------------------------------------
 
     fn encode_model(&mut self) -> Result<(), EncodeError> {
+        // Cheap: a `CatModel` shares its definitions behind `Arc`s.
         let model = self.model.clone();
         let mut i = 0;
         let defs = model.defs();
@@ -945,7 +956,7 @@ impl<'g> Encoding<'g> {
             }
             SetExpr::Domain(r) => {
                 let rel = self.enc_rel(r);
-                let mut rows: HashMap<u32, Vec<Lit>> = HashMap::new();
+                let mut rows: FxHashMap<u32, Vec<Lit>> = FxHashMap::default();
                 for (&(a, _), &l) in &rel.pairs {
                     rows.entry(a).or_default().push(l);
                 }
@@ -956,7 +967,7 @@ impl<'g> Encoding<'g> {
             }
             SetExpr::Range(r) => {
                 let rel = self.enc_rel(r);
-                let mut cols: HashMap<u32, Vec<Lit>> = HashMap::new();
+                let mut cols: FxHashMap<u32, Vec<Lit>> = FxHashMap::default();
                 for (&(_, b), &l) in &rel.pairs {
                     cols.entry(b).or_default().push(l);
                 }
@@ -1057,11 +1068,11 @@ impl<'g> Encoding<'g> {
             }
             RelExpr::Seq(a, b) => {
                 let (ra, rb) = (self.enc_rel(a), self.enc_rel(b));
-                let mut by_first: HashMap<u32, Vec<(u32, Lit)>> = HashMap::new();
+                let mut by_first: FxHashMap<u32, Vec<(u32, Lit)>> = FxHashMap::default();
                 for (&(m, c), &l) in &rb.pairs {
                     by_first.entry(m).or_default().push((c, l));
                 }
-                let mut disj: HashMap<(u32, u32), Vec<Lit>> = HashMap::new();
+                let mut disj: FxHashMap<(u32, u32), Vec<Lit>> = FxHashMap::default();
                 for (&(x, m), &l1) in &ra.pairs {
                     if let Some(nexts) = by_first.get(&m) {
                         for &(c, l2) in nexts {
@@ -1118,7 +1129,7 @@ impl<'g> Encoding<'g> {
             vars.pairs.insert((a.0, b.0), self.f.new_lit());
         }
         // var(a,b) ↔ base(a,b) ∨ ∃m. var(a,m) ∧ base(m,b)
-        let mut base_by_second: HashMap<u32, Vec<(u32, Lit)>> = HashMap::new();
+        let mut base_by_second: FxHashMap<u32, Vec<(u32, Lit)>> = FxHashMap::default();
         for (&(m, b), &l) in &base.pairs {
             base_by_second.entry(b).or_default().push((m, l));
         }

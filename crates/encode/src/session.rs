@@ -355,11 +355,11 @@ exists (P1:r0 == 1)";
     fn session_multi_query_agrees_with_simplification_off() {
         let g = graph(MP, 1);
         let model = gpumc_models::ptx60();
-        let on = EncodeOptions::default();
-        assert!(on.simplify, "simplification is on by default");
-        let off = EncodeOptions {
-            simplify: false,
-            ..on.clone()
+        let off = EncodeOptions::default();
+        assert!(!off.simplify, "simplification is off by default");
+        let on = EncodeOptions {
+            simplify: true,
+            ..off.clone()
         };
         let mut s_on = SolverSession::build(&g, &model, &on).unwrap();
         let mut s_off = SolverSession::build(&g, &model, &off).unwrap();
@@ -374,6 +374,15 @@ exists (P1:r0 == 1)";
             s_on.find_liveness_violation().unwrap().found,
             s_off.find_liveness_violation().unwrap().found
         );
+    }
+
+    #[test]
+    fn encodings_can_move_between_threads() {
+        // Neither the shared model nor the fixed-hasher maps may make an
+        // encoding thread-bound.
+        fn assert_send<T: Send>() {}
+        assert_send::<Encoding<'static>>();
+        assert_send::<SolverSession<'static>>();
     }
 
     #[test]

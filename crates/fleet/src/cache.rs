@@ -223,7 +223,10 @@ mod tests {
 
     #[test]
     fn concurrent_use_is_safe() {
-        let c = std::sync::Arc::new(ResultCache::in_memory(64));
+        // Room for all 200 entries: with less, other threads' inserts may
+        // evict a key between its insert and its lookup, which is correct
+        // LRU behaviour and made this read-your-write check flaky.
+        let c = std::sync::Arc::new(ResultCache::in_memory(256));
         std::thread::scope(|s| {
             for t in 0..4u128 {
                 let c = std::sync::Arc::clone(&c);
@@ -237,5 +240,6 @@ mod tests {
             }
         });
         assert_eq!(c.stats().inserts, 200);
+        assert_eq!(c.len(), 200);
     }
 }

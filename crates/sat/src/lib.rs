@@ -30,6 +30,7 @@
 
 pub mod bv;
 mod cancel;
+mod fxhash;
 mod heap;
 pub mod portfolio;
 mod simplify;
@@ -37,6 +38,7 @@ mod solver;
 mod tseitin;
 
 pub use cancel::{CancelToken, Interrupt};
+pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use portfolio::{ParallelPolicy, PortfolioConfig, PortfolioStats};
 pub use simplify::SimplifyStats;
 pub use solver::{SearchParams, SolveResult, Solver, Stats};

@@ -1,6 +1,6 @@
 //! Circuit-building (Tseitin transformation) helpers on top of [`Solver`].
 
-use crate::{Lit, SimplifyStats, SolveResult, Solver};
+use crate::{FxHashMap, Lit, SimplifyStats, SolveResult, Solver};
 
 /// A formula builder that owns a [`Solver`] and offers gate-level helpers.
 ///
@@ -31,9 +31,9 @@ pub struct Formula {
     /// Hash-consing caches: structurally identical binary gates share
     /// one output literal, which substantially shrinks the relational
     /// encodings built by gpumc-encode.
-    and_cache: std::collections::HashMap<(Lit, Lit), Lit>,
-    or_cache: std::collections::HashMap<(Lit, Lit), Lit>,
-    iff_cache: std::collections::HashMap<(Lit, Lit), Lit>,
+    and_cache: FxHashMap<(Lit, Lit), Lit>,
+    or_cache: FxHashMap<(Lit, Lit), Lit>,
+    iff_cache: FxHashMap<(Lit, Lit), Lit>,
 }
 
 impl Formula {

@@ -7,7 +7,8 @@
 //!
 //! * a JSON-lines request/response protocol over TCP (or stdio), see
 //!   [`protocol`];
-//! * a bounded job queue with non-blocking backpressure ([`queue`]);
+//! * a bounded, cost-aware job scheduler with non-blocking backpressure
+//!   (`gpumc_fleet::sched::CostScheduler`);
 //! * a worker pool sharing the warm caches — parsed models
 //!   (`gpumc_models::load_shared`) and relation-analysis bounds
 //!   (`gpumc_encode::BoundsMemo`) — across requests;
@@ -37,7 +38,7 @@ pub mod client;
 pub mod metrics;
 pub mod overload;
 pub mod protocol;
-pub mod queue;
+mod queue;
 pub mod server;
 
 pub use gpumc_fleet::json;
@@ -49,5 +50,4 @@ pub use overload::{next_level, DegradeLevel, Overload, OverloadPolicy};
 pub use protocol::{
     parse_request, verdict_json, Envelope, Request, VerifyRequest, PROTOCOL_VERSION,
 };
-pub use queue::{JobQueue, PushError};
 pub use server::{RetryPolicy, Server, ServerConfig, ShutdownHandle, WORKER_HARD_KILL_POINT};

@@ -100,7 +100,8 @@ pub struct VerifyRequest {
     /// SAT conflict budget per query.
     pub budget: Option<u64>,
     /// Whether to run CNF simplification on the encoding (default
-    /// `true`; a `"simplify": false` field disables it).
+    /// `false`, since the pass costs more than it saves the solver on
+    /// the paper's workloads; a `"simplify": true` field opts in).
     pub simplify: bool,
     /// SAT memory budget in MiB; exceeding it answers `unknown` instead
     /// of letting one query OOM the process.
@@ -231,7 +232,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
                 bound,
                 timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
                 budget: v.get("budget").and_then(Json::as_u64),
-                simplify: v.get("simplify").and_then(Json::as_bool).unwrap_or(true),
+                simplify: v.get("simplify").and_then(Json::as_bool).unwrap_or(false),
                 mem_budget_mb: v.get("mem_budget_mb").and_then(Json::as_u64),
                 faults: v.get("faults").and_then(Json::as_str).map(str::to_string),
                 portfolio,

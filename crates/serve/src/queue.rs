@@ -1,161 +1,75 @@
-//! A bounded MPMC job queue with non-blocking backpressure.
+//! The server's job queue: the fleet's cost-aware `CostScheduler`
+//! (DESIGN.md §16), sized from [`ServerConfig`].
 //!
-//! Connection threads call [`JobQueue::try_push`], which never blocks:
-//! a full queue hands the job straight back so the caller can answer
-//! the client with an immediate rejection instead of stalling the whole
-//! connection behind slow verifications. Workers block in
-//! [`JobQueue::pop`]. Closing the queue ([`JobQueue::close`]) wakes all
-//! workers; pops then drain whatever was already accepted — the
-//! graceful-shutdown contract is "every accepted job gets an answer" —
-//! and return `None` only once the queue is empty.
+//! The tests below check the contracts the accept loop, the workers and
+//! the graceful drain rely on, on a queue built exactly as the server
+//! builds it: a full queue hands the job back for a `rejected` reply,
+//! close lets accepted jobs drain and then releases every worker, and a
+//! close racing concurrent pushes loses no job.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use gpumc_fleet::sched::CostScheduler;
 
-#[derive(Debug)]
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
+use crate::server::ServerConfig;
 
-/// The queue. See the module docs.
-#[derive(Debug)]
-pub struct JobQueue<T> {
-    state: Mutex<State<T>>,
-    available: Condvar,
-    capacity: usize,
-}
-
-/// Why a push was refused.
-#[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
-    /// The queue holds `capacity` jobs; the job is handed back.
-    Full(T),
-    /// [`JobQueue::close`] was called; the job is handed back.
-    Closed(T),
-}
-
-impl<T> JobQueue<T> {
-    /// Creates a queue that accepts at most `capacity` waiting jobs.
-    pub fn new(capacity: usize) -> JobQueue<T> {
-        JobQueue {
-            state: Mutex::new(State {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues without blocking; a full or closed queue refuses.
-    pub fn try_push(&self, job: T) -> Result<(), PushError<T>> {
-        let mut s = self.state.lock().unwrap();
-        if s.closed {
-            return Err(PushError::Closed(job));
-        }
-        if s.items.len() >= self.capacity {
-            return Err(PushError::Full(job));
-        }
-        s.items.push_back(job);
-        drop(s);
-        self.available.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for the next job. `None` means the queue is closed *and*
-    /// fully drained — the worker should exit.
-    pub fn pop(&self) -> Option<T> {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if let Some(job) = s.items.pop_front() {
-                return Some(job);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.available.wait(s).unwrap();
-        }
-    }
-
-    /// Stops accepting new jobs and wakes every blocked worker. Already
-    /// accepted jobs remain poppable (drain semantics).
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.available.notify_all();
-    }
-
-    /// Whether [`JobQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
-    }
-
-    /// Takes every job still queued, without blocking. The supervisor's
-    /// last resort: if the workers are gone (all panicked at shutdown),
-    /// the leftover jobs are handed back here so each can be answered
-    /// `rejected` instead of silently dropped.
-    pub fn drain_now(&self) -> Vec<T> {
-        let mut s = self.state.lock().unwrap();
-        s.items.drain(..).collect()
-    }
-
-    /// Jobs currently waiting (diagnostics / the `queue_depth` gauge).
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().items.len()
-    }
-
-    /// Whether no jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// Builds the server's job queue: `config.max_queue` slots shared by
+/// the fast lane and one heavy lane per worker.
+pub(crate) fn job_queue<T>(config: &ServerConfig, workers: usize) -> CostScheduler<T> {
+    CostScheduler::new(config.max_queue, workers, config.fast_lane_max_cost)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::server::DEFAULT_FAST_LANE_MAX_COST;
+    use gpumc_fleet::sched::PushError;
+    use std::sync::{Arc, Mutex};
 
-    #[test]
-    fn push_pop_fifo() {
-        let q = JobQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
+    /// A predicted cost that takes the fast lane under the default config.
+    const CHEAP: u64 = 1;
+    /// A predicted cost that takes a heavy lane under the default config.
+    const HEAVY: u64 = DEFAULT_FAST_LANE_MAX_COST + 1;
+
+    fn queue<T>(max_queue: usize, workers: usize) -> CostScheduler<T> {
+        job_queue(&ServerConfig { max_queue, ..ServerConfig::default() }, workers)
     }
 
     #[test]
     fn full_queue_refuses_and_returns_the_job() {
-        let q = JobQueue::new(2);
-        q.try_push("a").unwrap();
-        q.try_push("b").unwrap();
-        match q.try_push("c") {
+        let q = queue(2, 2);
+        q.try_push("a", CHEAP).unwrap();
+        q.try_push("b", HEAVY).unwrap();
+        assert_eq!(q.capacity(), 2);
+        match q.try_push("c", CHEAP) {
             Err(PushError::Full(job)) => assert_eq!(job, "c"),
             other => panic!("expected Full, got {other:?}"),
         }
         // Popping frees a slot.
-        assert_eq!(q.pop(), Some("a"));
-        q.try_push("c").unwrap();
+        assert_eq!(q.pop(0), Some("a"));
+        q.try_push("c", CHEAP).unwrap();
+        assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn close_drains_then_stops() {
-        let q = JobQueue::new(4);
-        q.try_push(1).unwrap();
+        let q = queue(4, 2);
+        q.try_push(1, CHEAP).unwrap();
+        q.try_push(2, HEAVY).unwrap();
         q.close();
-        assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
-        assert_eq!(q.pop(), Some(1), "accepted jobs drain after close");
-        assert_eq!(q.pop(), None);
+        assert!(matches!(q.try_push(3, CHEAP), Err(PushError::Closed(3))));
+        let mut drained = vec![q.pop(0).unwrap(), q.pop(1).unwrap()];
+        drained.sort_unstable();
+        assert_eq!(drained, vec![1, 2], "accepted jobs drain after close");
+        assert_eq!(q.pop(0), None);
+        assert_eq!(q.pop(1), None);
     }
 
     #[test]
     fn close_wakes_blocked_workers() {
-        let q = Arc::new(JobQueue::<u32>::new(4));
+        let q = Arc::new(queue::<u32>(4, 4));
         let handles: Vec<_> = (0..4)
-            .map(|_| {
+            .map(|w| {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop())
+                std::thread::spawn(move || q.pop(w))
             })
             .collect();
         q.close();
@@ -166,12 +80,12 @@ mod tests {
 
     #[test]
     fn shutdown_race_loses_no_job() {
-        // Regression: a close racing concurrent pushes must leave every
-        // job accounted for — either accepted (and drainable) or handed
-        // back to its producer for a `rejected` reply. A job that is
-        // neither is a silently dropped request.
+        // A close racing concurrent pushes must leave every job
+        // accounted for — either accepted (and drainable) or handed back
+        // to its producer for a `rejected` reply. A job that is neither
+        // is a silently dropped request.
         for round in 0..50 {
-            let q = Arc::new(JobQueue::new(4));
+            let q = Arc::new(queue(4, 2));
             let accepted = Arc::new(Mutex::new(Vec::new()));
             let bounced = Arc::new(Mutex::new(Vec::new()));
             std::thread::scope(|s| {
@@ -182,7 +96,8 @@ mod tests {
                     s.spawn(move || {
                         for i in 0..20u32 {
                             let job = p * 100 + i;
-                            match q.try_push(job) {
+                            let cost = if i % 2 == 0 { CHEAP } else { HEAVY };
+                            match q.try_push(job, cost) {
                                 Ok(()) => accepted.lock().unwrap().push(job),
                                 Err(PushError::Full(j) | PushError::Closed(j)) => {
                                     bounced.lock().unwrap().push(j);
@@ -202,7 +117,7 @@ mod tests {
             });
             let mut drained = q.drain_now();
             assert!(q.is_closed());
-            assert_eq!(q.pop(), None, "drain_now leaves nothing poppable");
+            assert_eq!(q.pop(0), None, "drain_now leaves nothing poppable");
             let mut acc = accepted.lock().unwrap().clone();
             drained.sort_unstable();
             acc.sort_unstable();
@@ -217,17 +132,18 @@ mod tests {
 
     #[test]
     fn concurrent_producers_consumers_lose_nothing() {
-        let q = Arc::new(JobQueue::new(8));
+        let workers = 4;
+        let q = Arc::new(queue(8, workers));
         let total = 400u32;
         let consumed = Arc::new(Mutex::new(Vec::new()));
         // Consumers run unscoped so they can outlive the producer scope;
         // they exit when pop() observes close + empty.
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
+        let consumers: Vec<_> = (0..workers)
+            .map(|w| {
                 let q = Arc::clone(&q);
                 let consumed = Arc::clone(&consumed);
                 std::thread::spawn(move || {
-                    while let Some(v) = q.pop() {
+                    while let Some(v) = q.pop(w) {
                         consumed.lock().unwrap().push(v);
                     }
                 })
@@ -241,8 +157,9 @@ mod tests {
                         // Spin on backpressure: producers in this test
                         // must deliver everything.
                         let mut job = p * 1000 + i;
+                        let cost = if i % 3 == 0 { HEAVY } else { CHEAP };
                         loop {
-                            match q.try_push(job) {
+                            match q.try_push(job, cost) {
                                 Ok(()) => break,
                                 Err(PushError::Full(j)) => {
                                     job = j;

@@ -6,7 +6,8 @@
 //!  TCP accept loop ──► per-connection reader threads
 //!                         │  ping/metrics/shutdown answered inline
 //!                         ▼  verify → CancelToken(deadline) + job
-//!                  bounded JobQueue (try_push; full ⇒ `rejected`)
+//!                  bounded CostScheduler (try_push; full ⇒ `rejected`;
+//!                    fast lane + per-worker heavy lanes, DESIGN.md §16)
 //!                         │
 //!                  worker pool (effective_jobs), shared warm state:
 //!                    · gpumc_models::load_shared (one parse per model)
@@ -263,7 +264,7 @@ impl Shared {
         Ok(Arc::new(Shared {
             metrics: Metrics::new(),
             memo: Arc::new(BoundsMemo::new()),
-            queue: CostScheduler::new(config.max_queue, jobs, config.fast_lane_max_cost),
+            queue: crate::queue::job_queue(config, jobs),
             cache,
             shutdown: AtomicBool::new(false),
             default_timeout_ms: config.default_timeout_ms,

@@ -3,7 +3,7 @@
 //!
 //! * invariant under JSON key order, inter-token whitespace, and
 //!   elision of default-valued fields (`bound:2`, `engine:"sat"`,
-//!   `proto:1`, `cache:true`, `simplify:true`),
+//!   `proto:1`, `cache:true`, `simplify:false`),
 //! * and injective over distinct (test, model, bound, property,
 //!   engine) tuples across the whole catalog — a collision would serve
 //!   one test's verdict for another.
@@ -76,7 +76,7 @@ proptest! {
         // no whitespace.
         let source = Json::str(&t.source).to_string();
         let canonical = format!(
-            r#"{{"verb":"verify","source":{source},"bound":{bound},"engine":"{engine}","proto":1,"cache":true,"simplify":true}}"#
+            r#"{{"verb":"verify","source":{source},"bound":{bound},"engine":"{engine}","proto":1,"cache":true,"simplify":false}}"#
         );
         let want = request_digest_of(&canonical);
 
@@ -95,7 +95,7 @@ proptest! {
         if !elide_defaults {
             fields.push(r#""proto":1"#.into());
             fields.push(r#""cache":true"#.into());
-            fields.push(r#""simplify":true"#.into());
+            fields.push(r#""simplify":false"#.into());
             fields.push(r#""id":7"#.into());
         }
         // Fisher–Yates with a splitmix-style step — deterministic per seed.

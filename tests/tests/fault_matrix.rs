@@ -43,11 +43,17 @@ fn default_kind(program: &gpumc::gpumc_ir::Program) -> ModelKind {
     }
 }
 
-fn check_with(t: &Test, bound: u32, engine: EngineKind) -> Result<Verdict, VerifyError> {
+fn check_with(
+    t: &Test,
+    bound: u32,
+    engine: EngineKind,
+    simplify: bool,
+) -> Result<Verdict, VerifyError> {
     let program = gpumc::parse_litmus(&t.source).expect("catalog test parses");
     let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
         .with_bound(bound)
-        .with_engine(engine);
+        .with_engine(engine)
+        .with_simplify(simplify);
     v.check_all(&program).map(|o| Verdict {
         reachable: o.assertion.reachable,
         expectation: o.assertion.satisfied_expectation,
@@ -57,7 +63,7 @@ fn check_with(t: &Test, bound: u32, engine: EngineKind) -> Result<Verdict, Verif
 }
 
 fn check(t: &Test, bound: u32) -> Result<Verdict, VerifyError> {
-    check_with(t, bound, EngineKind::Sat)
+    check_with(t, bound, EngineKind::Sat, false)
 }
 
 /// One matrix cell: run `t` under `engine` with `kind` armed at `point`
@@ -75,9 +81,11 @@ fn run_cell_with(
     // unknown) or are verdict-neutral (alloc spike with no budget).
     let plan = FaultPlan::single(point, kind).with_seed(7).once();
     let ctx = format!("{} with {kind:?} at `{point}`", t.name);
+    // Simplification is an opt-in, so `sat.simplify` fires only with it on.
+    let simplify = point == points::SAT_SIMPLIFY;
     let outcome = {
         let _g = gpumc::fault::scoped(Arc::new(plan));
-        std::panic::catch_unwind(AssertUnwindSafe(|| check_with(t, bound, engine)))
+        std::panic::catch_unwind(AssertUnwindSafe(|| check_with(t, bound, engine, simplify)))
     };
     match outcome {
         Ok(Ok(v)) => assert_eq!(
@@ -141,8 +149,8 @@ fn dpor_engine_survives_explore_faults() {
     assert!(!tests.is_empty());
     for t in &tests {
         let bound = t.bound.min(2);
-        let baseline =
-            check_with(t, bound, EngineKind::Dpor).expect("dpor baseline must verify cleanly");
+        let baseline = check_with(t, bound, EngineKind::Dpor, false)
+            .expect("dpor baseline must verify cleanly");
         assert_eq!(
             baseline,
             check(t, bound).expect("sat baseline"),
@@ -174,8 +182,8 @@ fn parallel_dpor_engine_contains_explore_faults() {
     assert!(!tests.is_empty());
     for t in &tests {
         let bound = t.bound.min(2);
-        let baseline =
-            check_with(t, bound, EngineKind::Dpor).expect("dpor baseline must verify cleanly");
+        let baseline = check_with(t, bound, EngineKind::Dpor, false)
+            .expect("dpor baseline must verify cleanly");
         let program = gpumc::parse_litmus(&t.source).unwrap();
         for &kind in KINDS {
             let plan = FaultPlan::single(points::DPOR_EXPLORE, kind)
